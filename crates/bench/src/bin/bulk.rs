@@ -19,8 +19,8 @@
 //! nonzero on any violation — the CI gates wired into
 //! `scripts/check.sh`.
 //!
-//! Full run: `bulk --json results/bulk.json > results/bulk.txt`
-//! (also rewrites `results/BENCH_bulk.json` next to the JSON path).
+//! Full run: `bulk --json results/BENCH_bulk.json > results/bulk.txt`
+//! (any other `--json` path also gets a `BENCH_bulk.json` beside it).
 
 use fastsocket::{AppSpec, DataPlaneConfig, KernelSpec, RunReport, SimConfig, Simulation};
 use fastsocket_bench::{assert_deterministic, kcps, HarnessArgs};
@@ -382,12 +382,15 @@ fn main() {
     let report = sweep(cores, t, false, 42);
     print_report(&report);
 
-    args.write_json(&report);
     let bench_path = args
         .json_path
         .as_ref()
         .and_then(|p| p.parent())
         .map_or_else(|| PathBuf::from("results"), Path::to_path_buf)
         .join("BENCH_bulk.json");
+    // `--json` naming the bench artifact itself writes it once.
+    if args.json_path.as_deref() != Some(bench_path.as_path()) {
+        args.write_json(&report);
+    }
     write_bench(&report, &bench_path);
 }

@@ -21,8 +21,8 @@
 //! nonzero on any violation — the CI gates wired into
 //! `scripts/check.sh`.
 //!
-//! Full run: `capacity --json results/capacity.json > results/capacity.txt`
-//! (also rewrites `results/BENCH_capacity.json` next to the JSON path).
+//! Full run: `capacity --json results/BENCH_capacity.json > results/capacity.txt`
+//! (any other `--json` path also gets a `BENCH_capacity.json` beside it).
 
 use fastsocket::{AppSpec, KernelSpec, OpenLoopConfig, RunReport, SimConfig, Simulation};
 use fastsocket_bench::{assert_deterministic, kcps, pct, HarnessArgs};
@@ -454,12 +454,15 @@ fn main() {
         );
     }
 
-    args.write_json(&report);
     let bench_path = args
         .json_path
         .as_ref()
         .and_then(|p| p.parent())
         .map_or_else(|| PathBuf::from("results"), Path::to_path_buf)
         .join("BENCH_capacity.json");
+    // `--json` naming the bench artifact itself writes it once.
+    if args.json_path.as_deref() != Some(bench_path.as_path()) {
+        args.write_json(&report);
+    }
     write_bench(&report, &bench_path);
 }

@@ -29,8 +29,8 @@
 //! modeled sockets under the SLO). Both are wired into
 //! `scripts/check.sh`.
 //!
-//! Full run: `concurrency --json results/concurrency.json`
-//! (also rewrites `results/BENCH_concurrency.json` next to it).
+//! Full run: `concurrency --json results/BENCH_concurrency.json > results/concurrency.txt`
+//! (any other `--json` path also gets a `BENCH_concurrency.json` beside it).
 
 use fastsocket::{
     AppSpec, KernelSpec, LongLivedMix, MemConfig, OpenLoopConfig, RunReport, SimConfig, Simulation,
@@ -589,12 +589,15 @@ fn main() {
         );
     }
 
-    args.write_json(&report);
     let bench_path = args
         .json_path
         .as_ref()
         .and_then(|p| p.parent())
         .map_or_else(|| PathBuf::from("results"), Path::to_path_buf)
         .join("BENCH_concurrency.json");
+    // `--json` naming the bench artifact itself writes it once.
+    if args.json_path.as_deref() != Some(bench_path.as_path()) {
+        args.write_json(&report);
+    }
     write_bench(&report, &bench_path);
 }

@@ -1,29 +1,78 @@
 //! Streaming span attribution: enter/exit edges fold into perf-style
 //! collapsed stacks as they arrive, so cycle attribution survives ring
 //! overwrites and costs O(stack depth) memory per core.
+//!
+//! # Interned call paths
+//!
+//! Every distinct root-to-leaf label path gets a dense `u32` id the
+//! first time a span opens on it. A path node stores its parent id,
+//! its leaf label and the self-cycles attributed to it, so the full
+//! path is the chain of parent links. Child lookup is a flat table:
+//! the child of path `p` under `label` lives at
+//! `(p + 1) * LABELS + label`, with the empty root path as `p = -1`.
+//!
+//! Each open span carries its path id, resolved on `enter` by one
+//! table load (plus one node push the first time the path is seen).
+//! Closing a span is then one add into its node: no allocation and no
+//! hashing on the exit path, which every traced operation, syscall and
+//! lock wait takes. The `;`-joined frame strings are rebuilt from the
+//! parent links only when attribution is read.
+//!
+//! [`SpanFolder::clear`] zeroes the counters but keeps the ids, so a
+//! span that is open across a window reset still closes onto a valid
+//! node.
 
 use crate::event::TraceLabel;
-use std::collections::HashMap;
+
+/// Number of [`TraceLabel`] variants: the fan-out of one path node in
+/// the child table.
+const LABELS: usize = TraceLabel::Closed as usize + 1;
+
+/// Sentinel path id: "no path" in the child table, and the parent of
+/// every root-level node. Its successor wraps to 0, so the root's
+/// children sit at the front of the table.
+const NONE: u32 = u32::MAX;
 
 /// One open span on a core's stack.
 #[derive(Debug, Clone, Copy)]
 struct OpenSpan {
+    /// The path's leaf, kept here so `exit`'s stack scan needs no
+    /// table lookup.
     label: TraceLabel,
+    /// Interned id of the root-to-this-span label path.
+    path: u32,
     entered_at: u64,
     /// Cycles already attributed to completed children.
     child_cycles: u64,
 }
 
-/// Per-core span stacks folding into a `stack-path -> self-cycles` map.
-#[derive(Debug, Default)]
+/// One interned root-to-leaf label path.
+#[derive(Debug, Clone, Copy)]
+struct PathNode {
+    /// The path without its leaf, or [`NONE`] for a root-level frame.
+    parent: u32,
+    leaf: TraceLabel,
+    self_cycles: u64,
+}
+
+/// Per-core span stacks folding into per-path self-cycles.
+#[derive(Debug)]
 pub struct SpanFolder {
     /// Open-span stack per core (indexed by core id).
     stacks: Vec<Vec<OpenSpan>>,
-    /// Collapsed stack (labels root-to-leaf) to self-cycles.
-    folded: HashMap<Vec<TraceLabel>, u64>,
+    /// Interned paths, indexed by path id.
+    paths: Vec<PathNode>,
+    /// `(parent + 1) * LABELS + label` to child path id, or [`NONE`].
+    children: Vec<u32>,
     /// Exit edges that had no matching enter (instrumentation bugs
     /// surface here instead of corrupting attribution).
     unbalanced_exits: u64,
+}
+
+impl Default for SpanFolder {
+    fn default() -> SpanFolder {
+        SpanFolder::new(0)
+    }
 }
 
 impl SpanFolder {
@@ -31,7 +80,8 @@ impl SpanFolder {
     pub fn new(cores: u16) -> SpanFolder {
         SpanFolder {
             stacks: (0..cores).map(|_| Vec::new()).collect(),
-            folded: HashMap::new(),
+            paths: Vec::new(),
+            children: vec![NONE; LABELS],
             unbalanced_exits: 0,
         }
     }
@@ -44,10 +94,32 @@ impl SpanFolder {
         &mut self.stacks[idx]
     }
 
+    /// The id of path `parent` extended by `label`, interning it on
+    /// first sight.
+    fn child(&mut self, parent: u32, label: TraceLabel) -> u32 {
+        let slot = parent.wrapping_add(1) as usize * LABELS + label as usize;
+        let id = self.children[slot];
+        if id != NONE {
+            return id;
+        }
+        let id = u32::try_from(self.paths.len()).expect("span path ids exhausted");
+        self.paths.push(PathNode {
+            parent,
+            leaf: label,
+            self_cycles: 0,
+        });
+        self.children.resize(self.children.len() + LABELS, NONE);
+        self.children[slot] = id;
+        id
+    }
+
     /// Opens a span.
     pub fn enter(&mut self, core: u16, label: TraceLabel, ts: u64) {
-        self.stack(core).push(OpenSpan {
+        let parent = self.stack(core).last().map_or(NONE, |s| s.path);
+        let path = self.child(parent, label);
+        self.stacks[usize::from(core)].push(OpenSpan {
             label,
+            path,
             entered_at: ts,
             child_cycles: 0,
         });
@@ -74,16 +146,10 @@ impl SpanFolder {
         let stack = self.stack(core);
         let top = stack.pop()?;
         let total = ts.saturating_sub(top.entered_at);
-        let self_cycles = total.saturating_sub(top.child_cycles);
-        let mut path: Vec<TraceLabel> = self.stacks[usize::from(core)]
-            .iter()
-            .map(|s| s.label)
-            .collect();
-        path.push(top.label);
-        *self.folded.entry(path).or_insert(0) += self_cycles;
-        if let Some(parent) = self.stacks[usize::from(core)].last_mut() {
+        if let Some(parent) = stack.last_mut() {
             parent.child_cycles += total;
         }
+        self.paths[top.path as usize].self_cycles += total.saturating_sub(top.child_cycles);
         Some(top.label)
     }
 
@@ -109,13 +175,10 @@ impl SpanFolder {
     /// (one `stack-path space count` line per row).
     pub fn collapsed(&self) -> Vec<(String, u64)> {
         let mut rows: Vec<(String, u64)> = self
-            .folded
+            .paths
             .iter()
-            .filter(|(_, &cycles)| cycles > 0)
-            .map(|(path, &cycles)| {
-                let joined = path.iter().map(|l| l.name()).collect::<Vec<_>>().join(";");
-                (joined, cycles)
-            })
+            .filter(|node| node.self_cycles > 0)
+            .map(|node| (self.path_name(node), node.self_cycles))
             .collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         rows
@@ -136,17 +199,33 @@ impl SpanFolder {
 
     /// Total self-cycles attributed to stacks whose leaf is `label`.
     pub fn self_cycles(&self, label: TraceLabel) -> u64 {
-        self.folded
+        self.paths
             .iter()
-            .filter(|(path, _)| path.last() == Some(&label))
-            .map(|(_, &c)| c)
+            .filter(|node| node.leaf == label)
+            .map(|node| node.self_cycles)
             .sum()
     }
 
+    /// The `root;child;leaf` frame string of the path ending at `leaf`.
+    fn path_name(&self, leaf: &PathNode) -> String {
+        let mut frames = vec![leaf.leaf.name()];
+        let mut at = leaf.parent;
+        while at != NONE {
+            let node = &self.paths[at as usize];
+            frames.push(node.leaf.name());
+            at = node.parent;
+        }
+        frames.reverse();
+        frames.join(";")
+    }
+
     /// Drops all attribution (open stacks survive a window reset so
-    /// spans crossing the boundary still close cleanly).
+    /// spans crossing the boundary still close cleanly; interned path
+    /// ids survive with them).
     pub fn clear(&mut self) {
-        self.folded.clear();
+        for node in &mut self.paths {
+            node.self_cycles = 0;
+        }
         self.unbalanced_exits = 0;
     }
 }

@@ -41,7 +41,6 @@ pub use ring::EventRing;
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Default per-core ring capacity (events).
@@ -82,8 +81,10 @@ struct TraceState {
     ring_capacity: usize,
     folder: SpanFolder,
     lifecycle: LifecycleTracker,
-    /// Engine event-dispatch counts by event label.
-    dispatch: HashMap<&'static str, u64>,
+    /// Engine event-dispatch counts by event label, in first-seen
+    /// order. The engine has 16 event types, so a linear scan beats
+    /// hashing the label on every dispatch.
+    dispatch: Vec<(&'static str, u64)>,
 }
 
 impl TraceState {
@@ -135,7 +136,7 @@ impl Tracer {
                 ring_capacity,
                 folder: SpanFolder::new(cores),
                 lifecycle: LifecycleTracker::new(),
-                dispatch: HashMap::new(),
+                dispatch: Vec::new(),
             }))),
         }
     }
@@ -181,7 +182,17 @@ impl Tracer {
     /// Counts one engine dispatch of event type `label`.
     pub fn count_dispatch(&self, label: &'static str) {
         if let Some(inner) = &self.inner {
-            *inner.borrow_mut().dispatch.entry(label).or_insert(0) += 1;
+            let dispatch = &mut inner.borrow_mut().dispatch;
+            // Call sites pass string literals, so the pointer test
+            // settles almost every comparison; equal text stored at a
+            // different address still lands on the same row.
+            let row = dispatch
+                .iter()
+                .position(|&(k, _)| std::ptr::eq(k, label) || k == label);
+            match row {
+                Some(i) => dispatch[i].1 += 1,
+                None => dispatch.push((label, 1)),
+            }
         }
     }
 
@@ -336,12 +347,7 @@ impl Tracer {
     /// Engine dispatch counts by event label, sorted descending.
     pub fn dispatch_counts(&self) -> Vec<(&'static str, u64)> {
         self.inner.as_ref().map_or_else(Vec::new, |inner| {
-            let mut rows: Vec<(&'static str, u64)> = inner
-                .borrow()
-                .dispatch
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect();
+            let mut rows = inner.borrow().dispatch.clone();
             rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
             rows
         })

@@ -117,4 +117,24 @@ cargo build -q --release -p fastsocket-bench --bin lint --bin verify
 ./target/release/lint
 ./target/release/verify 0.1
 
+# Benchmark crate: perfbench is a cargo workspace of its own (it builds
+# the simulator crates by path), so the workspace-wide stages above do
+# not reach it. Format, lint and unit-test it, then run one short `hold`
+# pass — the traced, memory-ledger workload — and fail unless its final
+# JSON line reports correct output.
+echo "==> perfbench (fmt, clippy, tests, hold smoke)"
+perfbench_manifest=perfbench/Cargo.toml
+cargo fmt --check --manifest-path "$perfbench_manifest"
+cargo clippy --release --offline --all-targets --manifest-path "$perfbench_manifest" -- -D warnings
+cargo test --release --offline --manifest-path "$perfbench_manifest"
+perfbench_last=$(cargo run --quiet --release --offline --manifest-path "$perfbench_manifest" -- \
+  --workload hold --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$perfbench_last" in
+  *'"correct":true'*) ;;
+  *)
+    echo "perfbench hold smoke did not report correct output: $perfbench_last" >&2
+    exit 1
+    ;;
+esac
+
 echo "All checks passed."

@@ -112,3 +112,28 @@ fn chrome_export_round_trips_through_serde_json() {
         "export must contain lifecycle instants"
     );
 }
+
+/// 64-bit FNV-1a, the digest the golden pins below are stated in.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn traced_attribution_output_is_pinned() {
+    // Golden digests of the two attribution exports for one small
+    // traced cell. Any change to how spans fold into stacks, how the
+    // stacks render, or which events reach the rings moves these.
+    let (_, tracer) = traced(KernelSpec::Fastsocket, 4);
+    assert_eq!(tracer.unbalanced_exits(), 0);
+    let folded = fnv1a(tracer.folded().as_bytes());
+    let chrome = fnv1a(
+        tracer
+            .chrome_trace(usecs_to_cycles(1.0) as f64)
+            .to_json()
+            .as_bytes(),
+    );
+    assert_eq!(folded, 0xff04_aa91_da3f_b734, "folded-stack digest moved");
+    assert_eq!(chrome, 0xd999_9962_1948_1a0d, "chrome-trace digest moved");
+}
