@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use sim_net::{FlowTuple, Packet, TcpFlags};
+use tcp_stack::established::FnvBuild;
 
 /// A closed-loop client slot: runs one short-lived connection at a
 /// time, immediately starting the next when one completes.
@@ -488,7 +489,7 @@ pub struct Backend {
     ip: Ipv4Addr,
     port: u16,
     response_len: u16,
-    conns: HashMap<FlowTuple, BackendConn>,
+    conns: HashMap<FlowTuple, BackendConn, FnvBuild>,
     /// Bulk mode: `(response_bytes, mss)` — responses stream as MSS
     /// segments paced by the proxy's advertised window.
     bulk: Option<(u32, u16)>,
@@ -509,7 +510,7 @@ impl Backend {
             ip,
             port,
             response_len,
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             bulk: None,
             keep_alive: false,
             down: false,

@@ -28,6 +28,7 @@ use sim_core::{Cycles, SimRng};
 use sim_load::{BackoffPolicy, SizeDist};
 use sim_os::epoll::EpollEvent;
 use sim_os::fdtable::{Fd, FdTable};
+use tcp_stack::established::FnvBuild;
 use tcp_stack::SockId;
 
 use crate::edge::{EdgeConfig, EdgeCounters, HealthTracker, WeightedRr};
@@ -155,7 +156,7 @@ struct EdgeState {
     /// insertion order (deterministic).
     retries: Vec<PendingRetry>,
     /// Routing state per live client token.
-    route: HashMap<u64, RouteState>,
+    route: HashMap<u64, RouteState, FnvBuild>,
     counters: EdgeCounters,
 }
 
@@ -164,7 +165,7 @@ struct EdgeState {
 pub struct Proxy {
     config: ProxyConfig,
     fds: FdTable<SockId>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Conn, FnvBuild>,
     next_token: u64,
     rr: usize,
     served: u64,
@@ -189,7 +190,7 @@ impl Proxy {
         Proxy {
             config,
             fds: FdTable::new(1 << 20),
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             next_token: 0,
             rr: 0,
             served: 0,
@@ -243,7 +244,7 @@ impl Proxy {
             backends,
             pools,
             retries: Vec::new(),
-            route: HashMap::new(),
+            route: HashMap::default(),
             counters: EdgeCounters::default(),
         });
         self

@@ -12,6 +12,7 @@ use sim_core::{Cycles, SimRng};
 use sim_load::SizeDist;
 use sim_os::epoll::EpollEvent;
 use sim_os::fdtable::{Fd, FdTable};
+use tcp_stack::established::FnvBuild;
 use tcp_stack::SockId;
 
 use crate::sys::{Sys, Worker, LISTEN_TOKEN};
@@ -55,7 +56,7 @@ struct Conn {
 pub struct WebServer {
     config: WebConfig,
     fds: FdTable<SockId>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Conn, FnvBuild>,
     next_token: u64,
     served: u64,
     /// Per-response size sampling (open-loop heavy-tailed workloads);
@@ -72,7 +73,7 @@ impl WebServer {
         WebServer {
             config,
             fds: FdTable::new(1 << 20),
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             next_token: 0,
             served: 0,
             response_sizer: None,

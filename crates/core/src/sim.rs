@@ -35,7 +35,7 @@ use sim_os::softirq::SoftirqQueues;
 use sim_os::KernelCtx;
 use sim_sync::{ClassStats, LockClass, LockTable};
 use sim_trace::{LatencyHistogram, TraceLabel, Tracer};
-use tcp_stack::established::flow_hash;
+use tcp_stack::established::{flow_hash, FnvBuild};
 use tcp_stack::stack::{OsServices, TcpStack};
 use tcp_stack::StackStats;
 use tcp_stack::{EstVariant, ListenVariant, SockId};
@@ -244,6 +244,17 @@ impl LaneEnv {
             batch: Vec::new(),
         }
     }
+
+    /// The local slot of the client at `ip`: the inverse of
+    /// `client_ip(slot_global[slot])`. `None` for every address that is
+    /// not a client this lane hosts.
+    fn local_slot(&self, ip: Ipv4Addr) -> Option<u32> {
+        let global = client_slot_of_ip(ip)?;
+        let lanes = u32::from(self.lanes);
+        let local = global / lanes;
+        (global % lanes == u32::from(self.id) && (local as usize) < self.slot_global.len())
+            .then_some(local)
+    }
 }
 
 /// The mergeable measurement a lane hands back when its windowed run
@@ -297,9 +308,8 @@ pub struct Simulation {
     /// Per-slot idle-hold duration of the session currently running
     /// (long-lived mix); consulted when the hold starts.
     client_hold: Vec<Cycles>,
-    client_by_ip: HashMap<Ipv4Addr, u32>,
     backends: Vec<Backend>,
-    backend_by_ip: HashMap<Ipv4Addr, usize>,
+    backend_by_ip: HashMap<Ipv4Addr, usize, FnvBuild>,
     events: EventQueue<Ev>,
     peer_rng: SimRng,
     now: Cycles,
@@ -580,10 +590,13 @@ impl Simulation {
             },
         };
         let mut clients = Vec::with_capacity(n_clients as usize);
-        let mut client_by_ip = HashMap::new();
         for s in 0..n_clients {
             let ip = client_ip(lane_env.slot_global[s as usize]);
-            client_by_ip.insert(ip, s);
+            debug_assert_eq!(
+                lane_env.local_slot(ip),
+                Some(s),
+                "client IP space exhausted"
+            );
             let mut slot = ClientSlot::new(
                 ip,
                 SERVER_IP,
@@ -597,7 +610,7 @@ impl Simulation {
             clients.push(slot);
         }
         let mut backends = Vec::new();
-        let mut backend_by_ip = HashMap::new();
+        let mut backend_by_ip = HashMap::default();
         if let AppSpec::Proxy(p) = &cfg.app {
             // The edge tier supplies its own backend set (the pools'
             // deduplicated union, whose indices are the FaultKind::
@@ -642,7 +655,6 @@ impl Simulation {
             clients,
             client_attempt: vec![0; n_clients as usize],
             client_hold: vec![0; n_clients as usize],
-            client_by_ip,
             backends,
             backend_by_ip,
             events,
@@ -685,7 +697,7 @@ impl Simulation {
         self.pending_crashes.push(core);
     }
 
-    /// Read-only access to the TCP stack (tests, fault injection).
+    /// Mutable access to the TCP stack (tests, fault injection).
     pub fn stack_mut(&mut self) -> &mut TcpStack {
         &mut self.stack
     }
@@ -1242,14 +1254,14 @@ impl Simulation {
     /// Whether a packet crosses the lossy client wire (backends live on
     /// a lossless LAN). A lane applies loss at the *receiving* lane, so
     /// it classifies by the global client-IP pattern — its own
-    /// `client_by_ip` only knows the clients it hosts.
+    /// [`LaneEnv::local_slot`] only knows the clients it hosts.
     fn on_client_wire(&self, pkt: &Packet) -> bool {
         if self.lane.router.is_some() {
             client_slot_of_ip(pkt.flow.dst_ip).is_some()
                 || client_slot_of_ip(pkt.flow.src_ip).is_some()
         } else {
-            self.client_by_ip.contains_key(&pkt.flow.dst_ip)
-                || self.client_by_ip.contains_key(&pkt.flow.src_ip)
+            self.lane.local_slot(pkt.flow.dst_ip).is_some()
+                || self.lane.local_slot(pkt.flow.src_ip).is_some()
         }
     }
 
@@ -1505,7 +1517,7 @@ impl Simulation {
             }
             return;
         }
-        let Some(&slot) = self.client_by_ip.get(&dst) else {
+        let Some(slot) = self.lane.local_slot(dst) else {
             return; // stray packet to a non-existent peer
         };
         let client = &mut self.clients[slot as usize];

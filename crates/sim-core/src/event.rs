@@ -8,18 +8,25 @@
 //!
 //! Two interchangeable backends implement that contract:
 //!
-//! * [`SchedulerKind::Wheel`] (the default) — a hashed timing wheel for the
-//!   near future (Varghese & Lauck), cascading into a slab-backed binary
-//!   heap only for far-future events such as TIME_WAIT expiry, RTO backoff
-//!   and client timeouts. Near events (packets, softirqs, process wakes)
-//!   land in O(1) wheel slots instead of paying an O(log n) sift past the
-//!   tens of thousands of pending far-future timers.
+//! * [`SchedulerKind::Wheel`] (the default) — a hierarchical timing wheel
+//!   (Varghese & Lauck) with three tiers:
+//!   1. a level-1 ring of 256 slots of 8192 cycles (≈ 0.78 ms at
+//!      2.7 GHz) for packets, softirqs and process wakes;
+//!   2. a level-2 ring of 256 buckets, each 128 level-1 slots wide
+//!      (≈ 99 ms in all), for protocol timers — TIME_WAIT expiry, RTO
+//!      and hold releases. A bucket cascades into the level-1 ring
+//!      once, shortly before its first slot comes due;
+//!   3. a binary heap for the rare timers beyond that horizon, such as
+//!      2-second client timeouts.
+//!
+//!   Pushes into either ring are O(1), so the common timers never sift
+//!   past the tens of thousands of far-future timeouts in the heap.
 //! * [`SchedulerKind::Heap`] — the original global `BinaryHeap`, kept as
 //!   the differential-testing and benchmarking baseline.
 //!
 //! Both backends produce bit-identical pop orders; the differential
-//! proptest in `tests/prop_event_diff.rs` drives them with identical
-//! push/pop schedules and asserts exactly that.
+//! proptests in `tests/prop_event_diff.rs` and `tests/wheel_epoch.rs`
+//! drive them with identical push/pop schedules and assert exactly that.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -38,31 +45,52 @@ type DispatchTrace<E> = (Tracer, fn(&E) -> &'static str);
 /// scheduler in one config flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Two-tier timing wheel + far-future heap (default, fast).
+    /// Two-level timing wheel + far-future heap (default, fast).
     #[default]
     Wheel,
     /// Single global binary heap (baseline).
     Heap,
 }
 
-/// Log2 of the wheel-slot width in cycles: 8192 cycles ≈ 3 µs per slot.
+/// Log2 of the level-1 slot width in cycles: 8192 cycles ≈ 3 µs per slot.
 const SLOT_BITS: u32 = 13;
-/// Number of wheel slots; the near horizon is `SLOTS << SLOT_BITS` cycles
-/// (≈ 0.78 ms at 2.7 GHz) — comfortably past one RTT, so every packet,
-/// softirq and wake event stays on the wheel while protocol timers
-/// (TIME_WAIT ≥ 1 ms, RTO, client timeouts) go to the far heap.
+/// Number of level-1 slots; the near horizon is `SLOTS << SLOT_BITS`
+/// cycles (≈ 0.78 ms at 2.7 GHz) — comfortably past one RTT, so every
+/// packet, softirq and wake event stays on the level-1 ring.
 const WHEEL_SLOTS: usize = 256;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
-const OCC_WORDS: usize = WHEEL_SLOTS / 64;
+/// Log2 of the level-1 slots one level-2 bucket spans.
+const BUCKET_BITS: u32 = 7;
+const BUCKET_SLOTS: u64 = 1 << BUCKET_BITS;
+/// Number of level-2 buckets (≈ 99 ms of horizon at 2.7 GHz).
+const BUCKETS: usize = 256;
+const BUCKET_MASK: u64 = BUCKETS as u64 - 1;
+/// Both rings share one occupancy-bitmap shape.
+const OCC_WORDS: usize = 4;
 
-/// One full rotation of the wheel, in cycles. An event scheduled
+// A bucket cascades while the level-1 cursor sits in the bucket before
+// it, so the whole bucket must fit the exclusive level-1 window
+// `(cur_slot, cur_slot + WHEEL_SLOTS)` from any cursor position there:
+// a bucket may span at most half a rotation.
+const _: () = assert!(2 * BUCKET_SLOTS <= WHEEL_SLOTS as u64);
+const _: () = assert!(WHEEL_SLOTS == OCC_WORDS * 64 && BUCKETS == OCC_WORDS * 64);
+
+/// One full rotation of the level-1 ring, in cycles. An event scheduled
 /// exactly this far ahead has the same `slot & WHEEL_MASK` ring index
 /// as the current slot — the epoch-aliasing hazard. The push-side
 /// bound is strict (`slot < cur_slot + WHEEL_SLOTS`), so such an event
-/// is routed to the far-future heap rather than aliasing into the
-/// current rotation; `tests/wheel_epoch.rs` pins that behaviour across
-/// multiple rotations.
+/// is routed to a level-2 bucket rather than aliasing into the current
+/// rotation; `tests/wheel_epoch.rs` pins that behaviour across multiple
+/// rotations.
 pub const WHEEL_SPAN_CYCLES: Cycles = (WHEEL_SLOTS as u64) << SLOT_BITS;
+
+/// Width of one level-2 bucket, in cycles (half a level-1 rotation).
+/// Bucket `b` covers `[b * BUCKET_SPAN_CYCLES, (b + 1) * BUCKET_SPAN_CYCLES)`.
+pub const BUCKET_SPAN_CYCLES: Cycles = BUCKET_SLOTS << SLOT_BITS;
+
+/// One full rotation of the level-2 ring, in cycles. Events more than
+/// about this far ahead of the current slot wait in the far-future heap.
+pub const LEVEL2_SPAN_CYCLES: Cycles = (BUCKETS as u64) * BUCKET_SPAN_CYCLES;
 
 /// An event queue ordered by `(time, insertion order)`: equal-time
 /// events dispatch in the order they were scheduled.
@@ -123,159 +151,180 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Far-tier heap key: the event payload lives in a slab so sift
-/// operations move 20-byte keys, not whole events.
-#[derive(Debug)]
-struct FarKey {
-    time: Cycles,
-    seq: u64,
-    idx: u32,
+/// First set bit of a 256-bit ring bitmap at absolute index in
+/// `[start, limit)` (`limit - start <= 256`), scanning a word at a time.
+fn first_set(bits: &[u64; OCC_WORDS], start: u64, limit: u64) -> Option<u64> {
+    let mut abs = start;
+    while abs < limit {
+        let idx = (abs & WHEEL_MASK) as usize;
+        let word = bits[idx / 64] >> (idx % 64);
+        if word != 0 {
+            let cand = abs + u64::from(word.trailing_zeros());
+            return (cand < limit).then_some(cand);
+        }
+        abs += 64 - (idx % 64) as u64;
+    }
+    None
 }
 
-impl PartialEq for FarKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for FarKey {}
-impl PartialOrd for FarKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FarKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: earliest (time, seq) on top of the max-heap.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+fn set_bit(bits: &mut [u64; OCC_WORDS], idx: usize) {
+    bits[idx / 64] |= 1 << (idx % 64);
 }
 
-/// Two-tier scheduler state.
+fn clear_bit(bits: &mut [u64; OCC_WORDS], idx: usize) {
+    bits[idx / 64] &= !(1 << (idx % 64));
+}
+
+/// Three-tier scheduler state.
 ///
 /// Invariants:
-/// * `batch` holds *all* pending events whose slot is `cur_slot`, sorted
-///   descending by `(time, seq)` so `Vec::pop` yields the minimum.
+/// * `batch` holds *all* pending events whose slot is `<= cur_slot`,
+///   sorted descending by `(time, seq)` so `Vec::pop` yields the minimum.
 /// * `ring[s]` holds events whose absolute slot is in
 ///   `(cur_slot, cur_slot + WHEEL_SLOTS)`; `occupied` mirrors non-empty
 ///   slots.
-/// * `far` holds only events with slot `>= cur_slot + WHEEL_SLOTS`.
+/// * `buckets[b]` holds events whose absolute bucket (`slot >>
+///   BUCKET_BITS`) is in `[bucket_base(), bucket_base() + BUCKETS)` —
+///   every one starts after `cur_slot`; `bucket_occ` mirrors non-empty
+///   buckets.
+/// * `far` holds only events that were past the level-2 window when
+///   pushed; they are compared by time on every advance, never moved.
 #[derive(Debug)]
 struct Wheel<E> {
     /// Absolute slot index (`time >> SLOT_BITS`) the batch covers.
     cur_slot: u64,
     /// Events of the current slot, sorted descending; pop from the end.
     batch: Vec<Entry<E>>,
-    /// Near-future slots, indexed by absolute slot & `WHEEL_MASK`.
+    /// Level 1: near-future slots, indexed by absolute slot & `WHEEL_MASK`.
     ring: Vec<Vec<Entry<E>>>,
     /// Occupancy bitmap over `ring` (one bit per slot).
     occupied: [u64; OCC_WORDS],
-    /// Far-future tier: small keys in a heap, payloads in the slab.
-    far: BinaryHeap<FarKey>,
-    /// Slab of far-event payloads; `None` entries are free.
-    slab: Vec<Option<E>>,
-    /// Free-list of slab indices, recycled to kill per-push allocation.
-    free: Vec<u32>,
+    /// Level 2: timer buckets, indexed by absolute bucket & `BUCKET_MASK`.
+    buckets: Vec<Vec<Entry<E>>>,
+    /// Occupancy bitmap over `buckets`.
+    bucket_occ: [u64; OCC_WORDS],
+    /// Far-future tier: timers beyond the level-2 horizon.
+    far: BinaryHeap<Entry<E>>,
     len: usize,
 }
 
 impl<E> Wheel<E> {
-    fn new(cap: usize) -> Self {
+    fn new() -> Self {
         Wheel {
             cur_slot: 0,
             batch: Vec::new(),
             ring: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; OCC_WORDS],
-            far: BinaryHeap::with_capacity(cap),
-            slab: Vec::with_capacity(cap),
-            free: Vec::new(),
+            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            bucket_occ: [0; OCC_WORDS],
+            far: BinaryHeap::new(),
             len: 0,
         }
     }
 
+    /// The first bucket that starts after `cur_slot`: the low end of the
+    /// level-2 window.
+    fn bucket_base(&self) -> u64 {
+        (self.cur_slot >> BUCKET_BITS) + 1
+    }
+
     fn push(&mut self, time: Cycles, seq: u64, event: E) {
         self.len += 1;
+        let entry = Entry { time, seq, event };
         let slot = time >> SLOT_BITS;
         if slot <= self.cur_slot {
             // Current (or past) slot: merge into the sorted batch. The
             // batch is descending, so find the first entry not greater
             // than the new key and insert before it.
-            let entry = Entry { time, seq, event };
             let pos = self
                 .batch
                 .partition_point(|e| (e.time, e.seq) > (entry.time, entry.seq));
             self.batch.insert(pos, entry);
         } else if slot < self.cur_slot + WHEEL_SLOTS as u64 {
-            let idx = (slot & WHEEL_MASK) as usize;
-            self.ring[idx].push(Entry { time, seq, event });
-            self.occupied[idx / 64] |= 1 << (idx % 64);
+            self.push_ring(slot, entry);
         } else {
-            let idx = if let Some(i) = self.free.pop() {
-                self.slab[i as usize] = Some(event);
-                i
+            // `slot >= cur_slot + 2 * BUCKET_SLOTS`, so the bucket is at
+            // or past `bucket_base()`.
+            let bucket = slot >> BUCKET_BITS;
+            if bucket < self.bucket_base() + BUCKETS as u64 {
+                let idx = (bucket & BUCKET_MASK) as usize;
+                self.buckets[idx].push(entry);
+                set_bit(&mut self.bucket_occ, idx);
             } else {
-                let i = u32::try_from(self.slab.len()).expect("far slab exceeds u32 range");
-                self.slab.push(Some(event));
-                i
-            };
-            self.far.push(FarKey { time, seq, idx });
+                self.far.push(entry);
+            }
         }
     }
 
-    /// First occupied ring slot with absolute index in
-    /// `[start, cur_slot + WHEEL_SLOTS)`, scanning the bitmap a word at a
-    /// time.
-    fn next_occupied(&self, start: u64) -> Option<u64> {
-        let limit = self.cur_slot + WHEEL_SLOTS as u64;
-        let mut abs = start;
-        while abs < limit {
-            let idx = (abs & WHEEL_MASK) as usize;
-            let word = self.occupied[idx / 64] >> (idx % 64);
-            if word != 0 {
-                let cand = abs + u64::from(word.trailing_zeros());
-                return (cand < limit).then_some(cand);
-            }
-            abs += 64 - (idx % 64) as u64;
+    fn push_ring(&mut self, slot: u64, entry: Entry<E>) {
+        let idx = (slot & WHEEL_MASK) as usize;
+        self.ring[idx].push(entry);
+        set_bit(&mut self.occupied, idx);
+    }
+
+    /// Moves every event of level-2 `bucket` into the level-1 ring.
+    ///
+    /// The cursor first enters the previous bucket (it never moves back),
+    /// which puts the bucket's last slot, `first + BUCKET_SLOTS - 1`,
+    /// inside the exclusive window `(cur_slot, cur_slot + WHEEL_SLOTS)`.
+    /// Only called from `advance`, when no event is pending before the
+    /// bucket's first slot.
+    fn cascade(&mut self, bucket: u64) {
+        let first = bucket << BUCKET_BITS;
+        debug_assert!(first > self.cur_slot, "bucket {bucket} already due");
+        self.cur_slot = self.cur_slot.max(first - BUCKET_SLOTS);
+        let idx = (bucket & BUCKET_MASK) as usize;
+        clear_bit(&mut self.bucket_occ, idx);
+        // The bucket's vector is freed, not kept for reuse: timer waves
+        // (an RTO per segment sent) visit every bucket in turn, so
+        // keeping each bucket's peak capacity would hold the wave's
+        // peak 256 times over.
+        for entry in std::mem::take(&mut self.buckets[idx]) {
+            self.push_ring(entry.time >> SLOT_BITS, entry);
         }
-        None
     }
 
     /// Refills `batch` from the earliest non-empty tier. Called only when
     /// `batch` is empty and `len > 0`.
     fn advance(&mut self) {
         debug_assert!(self.batch.is_empty());
-        let ring_slot = self.next_occupied(self.cur_slot + 1);
-        let far_slot = self.far.peek().map(|k| k.time >> SLOT_BITS);
-        let target = match (ring_slot, far_slot) {
-            (Some(r), Some(f)) => r.min(f),
-            (Some(r), None) => r,
-            (None, Some(f)) => f,
-            (None, None) => unreachable!("advance called on empty wheel"),
+        let target = loop {
+            let ring_slot = first_set(
+                &self.occupied,
+                self.cur_slot + 1,
+                self.cur_slot + WHEEL_SLOTS as u64,
+            );
+            let far_slot = self.far.peek().map(|e| e.time >> SLOT_BITS);
+            let next = match (ring_slot, far_slot) {
+                (Some(r), Some(f)) => Some(r.min(f)),
+                (r, f) => r.or(f),
+            };
+            // A bucket that starts at or before the next ring/far slot
+            // may hold the earliest event: cascade it and look again.
+            let base = self.bucket_base();
+            let due = first_set(&self.bucket_occ, base, base + BUCKETS as u64)
+                .filter(|&b| next.is_none_or(|n| b << BUCKET_BITS <= n));
+            match due {
+                Some(b) => self.cascade(b),
+                None => break next.expect("advance called on empty wheel"),
+            }
         };
         self.cur_slot = target;
-        if ring_slot == Some(target) {
-            let idx = (target & WHEEL_MASK) as usize;
+        // The target's ring slot, if occupied, becomes the batch.
+        let idx = (target & WHEEL_MASK) as usize;
+        if self.occupied[idx / 64] & (1 << (idx % 64)) != 0 {
             std::mem::swap(&mut self.batch, &mut self.ring[idx]);
-            self.occupied[idx / 64] &= !(1 << (idx % 64));
+            clear_bit(&mut self.occupied, idx);
         }
         // Drain every far event that belongs to the new current slot so
         // the batch invariant (all pending events of cur_slot) holds.
-        while let Some(k) = self.far.peek() {
-            if k.time >> SLOT_BITS != target {
-                break;
-            }
-            let k = self.far.pop().expect("peeked entry vanished");
-            let event = self.slab[k.idx as usize]
-                .take()
-                .expect("far slab slot empty");
-            self.free.push(k.idx);
-            self.batch.push(Entry {
-                time: k.time,
-                seq: k.seq,
-                event,
-            });
+        while self
+            .far
+            .peek()
+            .is_some_and(|e| e.time >> SLOT_BITS == target)
+        {
+            self.batch
+                .push(self.far.pop().expect("peeked entry vanished"));
         }
         // Descending order: the minimum (time, seq) sits at the end.
         self.batch
@@ -310,15 +359,20 @@ impl<E> EventQueue<E> {
         Self::with_scheduler(SchedulerKind::default(), 0)
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
+    /// Creates an empty queue sized for about `cap` pending events (see
+    /// [`EventQueue::with_scheduler`]).
     pub fn with_capacity(cap: usize) -> Self {
         Self::with_scheduler(SchedulerKind::default(), cap)
     }
 
-    /// Creates an empty queue with an explicit backend.
+    /// Creates an empty queue with an explicit backend. The heap backend
+    /// pre-allocates `cap` entries. The wheel's tiers all grow on demand:
+    /// its far-future heap holds only the timers past the level-2
+    /// horizon, usually a small share of the backlog, so pre-sizing it
+    /// for the whole backlog would only hold memory.
     pub fn with_scheduler(kind: SchedulerKind, cap: usize) -> Self {
         let backend = match kind {
-            SchedulerKind::Wheel => Backend::Wheel(Box::new(Wheel::new(cap))),
+            SchedulerKind::Wheel => Backend::Wheel(Box::new(Wheel::new())),
             SchedulerKind::Heap => Backend::Heap(BinaryHeap::with_capacity(cap)),
         };
         EventQueue {
@@ -462,20 +516,67 @@ mod tests {
 
     #[test]
     fn far_future_events_cascade_back() {
-        // Far beyond the wheel horizon, with slab recycling in between.
-        let horizon = (WHEEL_SLOTS as u64) << SLOT_BITS;
+        // Past the level-1 horizon (level-2 buckets) and past the
+        // level-2 horizon (far heap), with pushes between pops.
+        for horizon in [WHEEL_SPAN_CYCLES, LEVEL2_SPAN_CYCLES] {
+            for mut q in both() {
+                q.push(3 * horizon, 3u32);
+                q.push(1, 1);
+                q.push(7 * horizon, 7);
+                q.push(horizon + 5, 2);
+                assert_eq!(q.pop(), Some((1, 1)));
+                assert_eq!(q.pop(), Some((horizon + 5, 2)));
+                q.push(5 * horizon, 5);
+                assert_eq!(q.pop(), Some((3 * horizon, 3)));
+                assert_eq!(q.pop(), Some((5 * horizon, 5)));
+                assert_eq!(q.pop(), Some((7 * horizon, 7)));
+                assert_eq!(q.pop(), None);
+            }
+        }
+    }
+
+    #[test]
+    fn lone_event_in_last_slot_of_a_bucket_pops() {
+        // 331,342,594 cycles is in slot 40447, the last level-1 slot of
+        // a bucket. A bucket spanning a whole rotation, cascaded from
+        // the slot before it, would leave this slot outside the level-1
+        // window and lose the event. (Here it is past the level-2
+        // horizon, so it waits in the far heap.)
+        let mut times = vec![331_342_594];
+        // The same edge for buckets inside the level-2 window, which
+        // do cascade: the last slot's first and last cycle, and the
+        // first cycle of the next bucket.
+        for b in [1u64, 2, 5, 128, 255] {
+            let last = (b + 1) * BUCKET_SPAN_CYCLES - 1;
+            times.extend([last, last + 1, last - (1 << SLOT_BITS) + 1]);
+        }
+        for t in times {
+            for mut q in both() {
+                q.push(t, 1u32);
+                assert_eq!(q.pop(), Some((t, 1)), "lone event at {t} lost");
+                assert_eq!(q.pop(), None);
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_cascade_merges_with_level1_and_batch_pushes() {
+        // One slot reached through a level-2 bucket, the level-1 ring
+        // and a late batch push keeps (time, seq) order.
+        let t = 5 * BUCKET_SPAN_CYCLES + 3;
         for mut q in both() {
-            q.push(3 * horizon, 3u32);
-            q.push(1, 1);
-            q.push(7 * horizon, 7);
-            q.push(horizon + 5, 2);
-            assert_eq!(q.pop(), Some((1, 1)));
-            assert_eq!(q.pop(), Some((horizon + 5, 2)));
-            // Push after draining part of the far tier: indices recycle.
-            q.push(5 * horizon, 5);
-            assert_eq!(q.pop(), Some((3 * horizon, 3)));
-            assert_eq!(q.pop(), Some((5 * horizon, 5)));
-            assert_eq!(q.pop(), Some((7 * horizon, 7)));
+            q.push(t + 1, 10u32); // level 2 at push time
+            q.push(0, 0);
+            q.push(t - WHEEL_SPAN_CYCLES / 2, 1);
+            assert_eq!(q.pop(), Some((0, 0)));
+            assert_eq!(q.pop(), Some((t - WHEEL_SPAN_CYCLES / 2, 1)));
+            q.push(t + 1, 11); // level 1 now
+            q.push(t, 9);
+            assert_eq!(q.pop(), Some((t, 9)));
+            q.push(t + 1, 12); // current slot: straight into the batch
+            assert_eq!(q.pop(), Some((t + 1, 10)));
+            assert_eq!(q.pop(), Some((t + 1, 11)));
+            assert_eq!(q.pop(), Some((t + 1, 12)));
             assert_eq!(q.pop(), None);
         }
     }

@@ -37,7 +37,7 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
-use sim_core::{CoreId, Cycles, SimRng};
+use sim_core::{CoreId, Cycles, PagedVec, SimRng};
 
 /// Kinds of tracked kernel objects, for per-kind accounting and
 /// footprint estimation.
@@ -244,7 +244,7 @@ impl CacheStats {
 /// The object-granularity cache-coherence model.
 #[derive(Debug)]
 pub struct CacheModel {
-    objs: Vec<Obj>,
+    objs: PagedVec<Obj>,
     free: Vec<u32>,
     costs: CacheCosts,
     footprint: u64,
@@ -256,7 +256,7 @@ impl CacheModel {
     /// Creates an empty model with the given cost parameters.
     pub fn new(costs: CacheCosts) -> Self {
         CacheModel {
-            objs: Vec::new(),
+            objs: PagedVec::new(),
             free: Vec::new(),
             costs,
             footprint: 0,

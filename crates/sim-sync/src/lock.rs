@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
-use sim_core::{CoreId, Cycles};
+use sim_core::{CoreId, Cycles, PagedVec};
 
 use crate::stats::{ClassStats, LockClass};
 
@@ -81,11 +81,18 @@ struct SimLock {
     pollers: u64,
     census_cnt: u32,
     census_prev: u32,
-    /// Hold intervals `(start, end)` reserved by in-flight operations,
-    /// sorted by start. Operations execute at per-core virtual times
-    /// that may run ahead of the event clock, so the lock is modelled
-    /// as a timed resource: an acquisition at time `t` takes the first
-    /// gap that fits, spinning until then.
+    /// Hold intervals `(start, end)` reserved by in-flight operations.
+    /// Operations execute at per-core virtual times that may run ahead
+    /// of the event clock, so the lock is modelled as a timed resource:
+    /// an acquisition at time `t` takes the first gap that fits,
+    /// spinning until then.
+    ///
+    /// Invariant: sorted by start and non-overlapping (each `end` is at
+    /// most the next `start`), so the ends are sorted too. A new hold
+    /// goes into a gap, after every hold that ends by its grant and
+    /// before every hold that starts after its release, so the
+    /// invariant is kept. `acquire` relies on it to binary-search past
+    /// the holds that ended before the caller's clock.
     reservations: VecDeque<(Cycles, Cycles)>,
     live: bool,
 }
@@ -96,7 +103,7 @@ struct SimLock {
 /// per table bucket) and recycled when the object dies.
 #[derive(Debug)]
 pub struct LockTable {
-    locks: Vec<SimLock>,
+    locks: PagedVec<SimLock>,
     free: Vec<u32>,
     stats: [ClassStats; LockClass::COUNT],
     costs: LockCosts,
@@ -107,7 +114,7 @@ impl LockTable {
     /// Creates an empty registry with the given cost model.
     pub fn new(costs: LockCosts) -> Self {
         LockTable {
-            locks: Vec::new(),
+            locks: PagedVec::new(),
             free: Vec::new(),
             stats: [ClassStats::default(); LockClass::COUNT],
             costs,
@@ -224,9 +231,13 @@ impl LockTable {
         // Reservations that ended before our arrival are dead history
         // (kept only so cores whose clocks lag can still collide with
         // them): they neither block us nor count as waiters.
+        //
+        // The retired prefix — holds that ended by `now` — is skipped
+        // with a binary search over the sorted ends; the walk then only
+        // visits holds that are live at `now`.
         let mut cursor = now;
         let mut waiters: u64 = 0;
-        let mut insert_at = 0usize;
+        let mut insert_at = lock.reservations.partition_point(|&(_, end)| end <= now);
         // A contended handoff triggers the ticket-lock line storm: all
         // polling cores re-read the line, which both delays the grant
         // and occupies the line — it extends the *service* interval, so
@@ -236,7 +247,7 @@ impl LockTable {
         let storm = costs.handoff_per_waiter * pollers.saturating_sub(1);
         let need_free = acquire_cost + hold;
         let need_contended = need_free + storm;
-        for (i, &(start, end)) in lock.reservations.iter().enumerate() {
+        for (i, &(start, end)) in (insert_at..).zip(lock.reservations.range(insert_at..)) {
             if end <= cursor {
                 insert_at = i + 1;
                 continue;
@@ -261,16 +272,16 @@ impl LockTable {
         lock.reservations
             .insert(insert_at, (acquired_at, release_at));
         #[cfg(debug_assertions)]
+        for (a, b) in lock
+            .reservations
+            .iter()
+            .zip(lock.reservations.iter().skip(1))
         {
-            let v: Vec<(Cycles, Cycles)> = lock.reservations.iter().copied().collect();
-            for w in v.windows(2) {
-                debug_assert!(w[0].0 <= w[1].0, "reservation list unsorted: {v:?}");
-                let both_live = w[0].1 > now && w[1].1 > now;
-                debug_assert!(
-                    !both_live || w[0].1 <= w[1].0,
-                    "adjacent live reservations overlap: {w:?} now={now}"
-                );
-            }
+            debug_assert!(a.1 <= b.1, "reservation ends decrease: {a:?} then {b:?}");
+            debug_assert!(
+                a.1 <= b.0,
+                "adjacent reservations overlap: {a:?} then {b:?}"
+            );
         }
         lock.last_owner = Some(core);
 

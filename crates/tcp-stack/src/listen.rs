@@ -23,7 +23,7 @@ use sim_os::process::Pid;
 use sim_os::{KernelCtx, Op};
 
 use crate::costs::StackCosts;
-use crate::established::flow_hash;
+use crate::established::{flow_hash, FnvBuild};
 use crate::state::TcpState;
 use crate::stats::StackStats;
 use crate::tcb::{SockId, SockTable};
@@ -55,7 +55,7 @@ pub struct ListenSocket {
     pub core: Option<CoreId>,
     /// Pending (mid-handshake) connections, keyed by the connection's
     /// local-perspective flow.
-    pub syn_queue: HashMap<FlowTuple, SockId>,
+    pub syn_queue: HashMap<FlowTuple, SockId, FnvBuild>,
     /// Fully established connections awaiting `accept()`.
     pub accept_queue: VecDeque<SockId>,
     /// Maximum of `syn_queue` + `accept_queue` before SYN drops.
@@ -149,7 +149,7 @@ impl ListenTable {
             sock,
             owner,
             core: owner.map(|_| core),
-            syn_queue: HashMap::new(),
+            syn_queue: HashMap::default(),
             accept_queue: VecDeque::new(),
             backlog,
             watchers: Vec::new(),

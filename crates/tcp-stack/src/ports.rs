@@ -19,6 +19,7 @@ use sim_os::{KernelCtx, Op};
 use sim_sync::{LockClass, LockId};
 
 use crate::costs::StackCosts;
+use crate::established::FnvBuild;
 use crate::rfd::Rfd;
 
 /// Start of the ephemeral port range (Linux default).
@@ -45,7 +46,7 @@ pub struct PortAlloc {
     per_core_cursor: Vec<u16>,
     /// Ports in use, per destination (a port may be reused towards a
     /// different destination).
-    used: HashSet<(Ipv4Addr, u16, u16)>,
+    used: HashSet<(Ipv4Addr, u16, u16), FnvBuild>,
 }
 
 impl PortAlloc {
@@ -77,7 +78,7 @@ impl PortAlloc {
             lock,
             cursor: EPHEMERAL_MIN,
             per_core_cursor,
-            used: HashSet::new(),
+            used: HashSet::default(),
         }
     }
 

@@ -28,6 +28,15 @@ echo "==> bench smoke (event-core self-profile vs committed baseline)"
 cargo build -q --release -p fastsocket-bench --bin selfprof
 ./target/release/selfprof 0.02 --baseline results/BENCH_event_core.json --tolerance 0.5
 
+# Differential soaks: 100K deterministic random schedules each, in
+# release mode, for the timing wheel against the binary-heap oracle and
+# for the lock table's binary-searched acquire against the linear-scan
+# reference. The 96-case proptests in the plain test run are too few
+# to reliably reach rare bucket-edge and epoch-aliasing schedules.
+echo "==> differential soaks (wheel vs heap, locks vs reference)"
+cargo test -q --release -p sim-core --test prop_event_diff -- --ignored
+cargo test -q --release -p sim-sync --test prop_locks -- --ignored
+
 # Sanitizer pass: the `check` feature defaults SimConfig::check to on,
 # so every system test re-runs with lockdep, lockset race detection and
 # partition lints armed (plus the sanitizer-specific suites).
